@@ -58,7 +58,11 @@ from repro.serve.http import (
 from repro.serve.jobs import JOB_STATES, Job, JobConflict, JobQueue
 from repro.serve.registry import DatasetRegistry
 from repro.serve.stats import ServerStats
-from repro.sim.montecarlo import EnsembleReport, run_replications
+from repro.sim.montecarlo import (
+    EnsembleReport,
+    run_replications,
+    stats_payload,
+)
 from repro.synth import GeneratorConfig, generate_log
 from repro.train.metrics import ettf_payload
 
@@ -201,16 +205,7 @@ def ensemble_payload(ensemble: EnsembleReport) -> dict[str, Any]:
         "replications": ensemble.replications,
         "failed_replications": ensemble.failed_replications,
         "ci": ensemble.ci,
-        "metrics": {
-            name: {
-                "mean": stats.mean,
-                "std": stats.std,
-                "stderr": stats.stderr,
-                "ci_lower": stats.ci_lower,
-                "ci_upper": stats.ci_upper,
-            }
-            for name, stats in ensemble.metrics.items()
-        },
+        "metrics": stats_payload(ensemble.metrics),
     }
 
 

@@ -3,17 +3,20 @@
 One simulated horizon is a single draw from the model's distribution
 over operational outcomes; the paper's RQ5-style claims ("4
 technicians keep availability above X") are claims about that
-*distribution*.  This module runs R independently-seeded replications
-of :class:`~repro.sim.simulator.ClusterSimulator` and folds their
+*distribution*.  :func:`run_ensemble` runs R independently-seeded
+replications of :class:`~repro.sim.simulator.ClusterSimulator` and
+folds chosen metrics of their
 :class:`~repro.sim.simulator.SimulationReport`s into ensemble
 statistics — mean, standard error, and percentile confidence
 intervals — using the constant-memory estimators from
 :mod:`repro.stream.online`, so R can be large without holding R
-reports.
+reports.  It is the one runner behind both the cluster-availability
+ensembles (:func:`run_replications`) and the gang-training ensembles
+(:func:`repro.train.montecarlo.run_train_replications`).
 
-Determinism contract: :func:`run_replications` with a given
-``(machine, seed, replications, ...)`` returns bit-identical results
-whether the replications run serially or across worker processes.
+Determinism contract: an ensemble with a given
+``(machine, seed, replications, ...)`` is bit-identical whether the
+replications run serially or across worker processes.
 Per-replication seeds come from :func:`spawn_seeds` (NumPy
 ``SeedSequence`` spawning, prefix-stable in ``n``), replications are
 dispatched through the fault-tolerant
@@ -25,7 +28,10 @@ sequential loop — so worker scheduling can never touch the numbers.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -39,20 +45,10 @@ __all__ = [
     "spawn_seeds",
     "MetricStats",
     "EnsembleReport",
+    "stats_payload",
+    "run_ensemble",
     "run_replications",
 ]
-
-#: SimulationReport fields summarised per ensemble, in report order.
-_METRICS = (
-    "failures_injected",
-    "repairs_completed",
-    "effective_mttr_hours",
-    "mean_waiting_hours",
-    "availability",
-    "spare_stockouts",
-    "spares_consumed",
-)
-
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """Derive ``n`` independent replication seeds from a master seed.
@@ -107,8 +103,7 @@ class EnsembleReport:
         failed_replications: Replications that raised (their errors
             are attributed in ``errors``; the fold simply skips them).
         ci: Confidence level of the percentile intervals.
-        metrics: Per-metric ensemble statistics, keyed by the
-            :class:`~repro.sim.simulator.SimulationReport` field name.
+        metrics: Per-metric ensemble statistics, in metric order.
         errors: ``(replication_index, message)`` for each failure.
     """
 
@@ -122,58 +117,85 @@ class EnsembleReport:
 
     @property
     def availability(self) -> MetricStats:
-        """Shortcut for the headline metric."""
+        """Shortcut for the cluster's availability."""
         return self.metrics["availability"]
+
+    def _shape(self) -> str:
+        """What the ensemble ran, for the summary header."""
+        return f"{self.replications} replications x {self.horizon_hours:g} h"
 
     def summary(self) -> str:
         """Human-readable multi-line summary."""
         lines = [
-            f"{self.machine}: {self.replications} replications x "
-            f"{self.horizon_hours:g} h "
-            f"({int(self.ci * 100)}% percentile intervals)"
+            f"{self.machine}: {self._shape()} "
+            f"({round(self.ci * 100)}% percentile intervals)"
         ]
         if self.failed_replications:
             lines.append(
                 f"  {self.failed_replications} replication(s) failed"
             )
-        lines.extend(f"  {self.metrics[name]}" for name in _METRICS)
+        lines.extend(f"  {stats}" for stats in self.metrics.values())
         return "\n".join(lines)
+
+
+def stats_payload(
+    metrics: dict[str, MetricStats],
+) -> dict[str, dict[str, float]]:
+    """JSON-friendly view of an ensemble's per-metric statistics."""
+    return {
+        name: {
+            "mean": stats.mean,
+            "std": stats.std,
+            "stderr": stats.stderr,
+            "ci_lower": stats.ci_lower,
+            "ci_upper": stats.ci_upper,
+        }
+        for name, stats in metrics.items()
+    }
+
+
+#: Reads one metric off a replication's report.
+Extractor = Callable[[SimulationReport], float]
+
+#: Cluster metrics summarised by :func:`run_replications`, in report
+#: order.
+_METRICS: dict[str, Extractor] = {
+    name: attrgetter(name)
+    for name in (
+        "failures_injected",
+        "repairs_completed",
+        "effective_mttr_hours",
+        "mean_waiting_hours",
+        "availability",
+        "spare_stockouts",
+        "spares_consumed",
+    )
+}
+
+_ReportT = TypeVar("_ReportT", bound=EnsembleReport)
 
 
 @dataclass(frozen=True)
 class _ReplicationTask:
-    """Picklable spec of one replication (travels to worker processes)."""
+    """Picklable spec of one replication (travels to worker processes).
+
+    ``options`` are :class:`~repro.sim.simulator.ClusterSimulator`
+    keyword arguments shared by every replication.
+    """
 
     machine: str
     seed: int
     horizon_hours: float
-    intensity: float
-    health_test_effectiveness: float
-    num_technicians: int | None
-    spare_lead_time_hours: float | None
-    presample: bool
+    options: dict[str, Any]
 
 
 def _run_replication(task: _ReplicationTask) -> SimulationReport:
     """Worker entry point: one seeded simulation, report only."""
-    policy = None
-    if task.num_technicians is not None:
-        policy = RepairPolicy(
-            num_technicians=task.num_technicians,
-            spare_lead_time_hours=(
-                task.spare_lead_time_hours
-                if task.spare_lead_time_hours is not None
-                else RepairPolicy.spare_lead_time_hours
-            ),
-        )
     simulator = ClusterSimulator(
         task.machine,
-        repair_policy=policy,
         seed=task.seed,
-        intensity=task.intensity,
-        health_test_effectiveness=task.health_test_effectiveness,
-        presample=task.presample,
         keep_injected_log=False,
+        **task.options,
     )
     return simulator.run(task.horizon_hours)
 
@@ -207,30 +229,39 @@ class _MetricFold:
         )
 
 
-def run_replications(
+def run_ensemble(
     machine: str,
     replications: int,
     horizon_hours: float,
+    options: dict[str, Any],
+    metrics: Mapping[str, Extractor],
+    make_report: Callable[..., _ReportT],
     seed: int = 0,
-    intensity: float = 1.0,
     ci: float = 0.95,
     max_workers: int | None = None,
-    health_test_effectiveness: float = 0.0,
-    num_technicians: int | None = None,
-    spare_lead_time_hours: float | None = None,
-    presample: bool = True,
-    retries: int = 0,
-) -> EnsembleReport:
-    """Run a Monte-Carlo ensemble and summarise its distribution.
+) -> _ReportT:
+    """Run R seeded :class:`ClusterSimulator` replications and fold them.
+
+    The one dispatch-and-fold loop behind every ensemble in the repo;
+    :func:`run_replications` and
+    :func:`repro.train.montecarlo.run_train_replications` only choose
+    its ``options``, ``metrics`` and report type.
 
     Args:
-        machine: ``"tsubame2"`` or ``"tsubame3"``.
+        machine: Any registered machine name.
         replications: Number of independently-seeded runs (>= 1).
         horizon_hours: Simulated horizon of each run.
+        options: :class:`ClusterSimulator` keyword arguments shared by
+            every run (policies as their frozen config objects); they
+            are pickled to worker processes.
+        metrics: ``{metric name: extractor}``, in report order.  The
+            extractors run in the calling process, so they need not
+            pickle.
+        make_report: Builds the report from the
+            :class:`EnsembleReport` fields (e.g. the class itself).
         seed: Master seed; per-replication seeds are spawned with
             :func:`spawn_seeds`, so the ensemble is reproducible and
             prefix-stable in ``replications``.
-        intensity: Failure-rate multiplier passed to every run.
         ci: Confidence level of the percentile intervals, in (0, 1).
         max_workers: ``None`` or ``1`` runs serially in-process;
             ``N > 1`` fans replications across the process-wide warm
@@ -238,20 +269,11 @@ def run_replications(
             the process) with work-stealing chunking, so uneven
             replication lengths do not leave workers idle.  The
             result is bit-identical at any worker count.
-        health_test_effectiveness: See
-            :class:`~repro.sim.faults.FaultInjector`.
-        num_technicians: Override the repair policy's staffing.
-        spare_lead_time_hours: Override the spare procurement lead
-            time (requires ``num_technicians``).
-        presample: Injector draw strategy; see
-            :class:`~repro.sim.simulator.ClusterSimulator`.
-        retries: Re-run a replication that raised up to this many
-            extra times before recording it as failed.
 
     Returns:
-        An :class:`EnsembleReport`.  Replications that fail (after
-        retries) are skipped by the fold and attributed in
-        ``errors`` — one poisoned seed does not discard the ensemble.
+        ``make_report(...)``.  Replications that raise are skipped by
+        the fold and attributed in ``errors`` — one poisoned seed does
+        not discard the ensemble.
 
     Raises:
         ValidationError: On invalid ensemble parameters.
@@ -264,33 +286,14 @@ def run_replications(
         )
     if not 0.0 < ci < 1.0:
         raise ValidationError(f"ci must lie in (0, 1), got {ci}")
-    if spare_lead_time_hours is not None and num_technicians is None:
-        raise ValidationError(
-            "spare_lead_time_hours requires num_technicians "
-            "(both override the same repair policy)"
-        )
     tasks = [
-        _ReplicationTask(
-            machine=machine,
-            seed=replication_seed,
-            horizon_hours=horizon_hours,
-            intensity=intensity,
-            health_test_effectiveness=health_test_effectiveness,
-            num_technicians=num_technicians,
-            spare_lead_time_hours=spare_lead_time_hours,
-            presample=presample,
-        )
+        _ReplicationTask(machine, replication_seed, horizon_hours, options)
         for replication_seed in spawn_seeds(seed, replications)
     ]
-    folds = {name: _MetricFold(name) for name in _METRICS}
+    folds = {name: _MetricFold(name) for name in metrics}
     errors: list[tuple[int, str]] = []
     outcome: SweepOutcome
-    for outcome in sweep_iter(
-        _run_replication,
-        tasks,
-        processes=max_workers,
-        retries=retries,
-    ):
+    for outcome in sweep_iter(_run_replication, tasks, processes=max_workers):
         if not outcome.ok:
             errors.append(
                 (
@@ -299,16 +302,15 @@ def run_replications(
                 )
             )
             continue
-        report = outcome.result
-        for name, fold in folds.items():
-            fold.push(float(getattr(report, name)))
+        for name, extract in metrics.items():
+            folds[name].push(float(extract(outcome.result)))
     completed = replications - len(errors)
     if completed == 0:
         raise SimulationError(
             f"all {replications} replications failed; first error: "
             f"{errors[0][1]}"
         )
-    return EnsembleReport(
+    return make_report(
         machine=machine,
         horizon_hours=horizon_hours,
         replications=completed,
@@ -316,4 +318,63 @@ def run_replications(
         ci=ci,
         metrics={name: fold.stats(ci) for name, fold in folds.items()},
         errors=tuple(errors),
+    )
+
+
+def run_replications(
+    machine: str,
+    replications: int,
+    horizon_hours: float,
+    seed: int = 0,
+    intensity: float = 1.0,
+    ci: float = 0.95,
+    max_workers: int | None = None,
+    num_technicians: int | None = None,
+    spare_lead_time_hours: float | None = None,
+) -> EnsembleReport:
+    """Run a Monte-Carlo ensemble of cluster availability.
+
+    Args:
+        machine: ``"tsubame2"`` or ``"tsubame3"``.
+        replications, horizon_hours, seed, ci, max_workers: See
+            :func:`run_ensemble`.
+        intensity: Failure-rate multiplier passed to every run.
+        num_technicians: Override the repair policy's staffing.
+        spare_lead_time_hours: Override the spare procurement lead
+            time (requires ``num_technicians``).
+
+    Returns:
+        An :class:`EnsembleReport` over the
+        :class:`~repro.sim.simulator.SimulationReport` fields
+        ``failures_injected`` ... ``spares_consumed``.
+
+    Raises:
+        ValidationError: On invalid ensemble or policy parameters.
+        SimulationError: If every replication failed.
+    """
+    if spare_lead_time_hours is not None and num_technicians is None:
+        raise ValidationError(
+            "spare_lead_time_hours requires num_technicians "
+            "(both override the same repair policy)"
+        )
+    policy = None
+    if num_technicians is not None:
+        policy = RepairPolicy(
+            num_technicians=num_technicians,
+            spare_lead_time_hours=(
+                spare_lead_time_hours
+                if spare_lead_time_hours is not None
+                else RepairPolicy.spare_lead_time_hours
+            ),
+        )
+    return run_ensemble(
+        machine,
+        replications,
+        horizon_hours,
+        options={"intensity": intensity, "repair_policy": policy},
+        metrics=_METRICS,
+        make_report=EnsembleReport,
+        seed=seed,
+        ci=ci,
+        max_workers=max_workers,
     )

@@ -309,10 +309,17 @@ class GangTrainingRun:
         if tail <= _TOL:
             # The last cycle needs no trailing checkpoint: completion
             # itself commits it.
-            return max(0.0, full * self._cycle_wall - self._policy.cost_hours)
-        tail_steps = math.ceil(tail / self._config.step_time_hours - _TOL)
-        return (full * self._cycle_wall
-                + tail_steps * self._config.step_time_hours)
+            checkpoints = max(0, full - 1)
+            wall = max(0.0, full * self._cycle_wall - self._policy.cost_hours)
+        else:
+            checkpoints = full
+            tail_steps = math.ceil(tail / self._config.step_time_hours - _TOL)
+            wall = (full * self._cycle_wall
+                    + tail_steps * self._config.step_time_hours)
+        # Summed per cycle, the wall time can round one ulp below the
+        # work and checkpoint time that _complete commits for it, and
+        # the run would report more busy time than elapsed time.
+        return max(wall, work + checkpoints * self._policy.cost_hours)
 
     def _complete(self, epoch: int) -> None:
         if self._done or epoch != self._epoch or not self._members:

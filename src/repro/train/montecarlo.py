@@ -1,25 +1,27 @@
 """Monte-Carlo ensembles of gang-training runs.
 
-Mirrors :mod:`repro.sim.montecarlo` for the training vertical: R
+A thin layer over :func:`repro.sim.montecarlo.run_ensemble`: R
 independently-seeded :class:`~repro.sim.simulator.ClusterSimulator`
 runs with a gang job, folded into constant-memory ensemble statistics
-over the ETTF metrics.  The same determinism contract holds — seeds
-from :func:`~repro.sim.montecarlo.spawn_seeds` (prefix-stable),
-dispatch through the fault-tolerant :func:`repro.parallel.sweep_iter`
-(input-ordered outcomes), and a sequential fold — so serial and
-parallel ensembles are bit-identical for a fixed master seed.
+over the ETTF metrics.  The runner's determinism contract holds
+unchanged, so serial and parallel ensembles are bit-identical for a
+fixed master seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Any
 
-from repro.errors import SimulationError, ValidationError
-from repro.parallel import SweepOutcome, sweep_iter
 from repro.sim.checkpoint import CheckpointPolicy
-from repro.sim.montecarlo import MetricStats, _MetricFold, spawn_seeds
-from repro.sim.simulator import ClusterSimulator, SimulationReport
+from repro.sim.montecarlo import (
+    EnsembleReport,
+    MetricStats,
+    run_ensemble,
+    stats_payload,
+)
 from repro.train.config import TrainingJobConfig
 
 __all__ = [
@@ -46,86 +48,25 @@ TRAIN_METRICS = (
     "availability",
 )
 
+_EXTRACTORS = {
+    name: attrgetter(name if name == "availability" else f"train.{name}")
+    for name in TRAIN_METRICS
+}
 
-def _metric_value(report: SimulationReport, name: str) -> float:
-    if name == "availability":
-        return float(report.availability)
-    return float(getattr(report.train, name))
 
-
-@dataclass(frozen=True)
-class TrainEnsembleReport:
+@dataclass(frozen=True, kw_only=True)
+class TrainEnsembleReport(EnsembleReport):
     """Summary of a training-run replication ensemble."""
 
-    machine: str
-    horizon_hours: float
     gang_nodes: int
-    replications: int
-    failed_replications: int
-    ci: float
-    metrics: dict[str, MetricStats]
-    errors: tuple[tuple[int, str], ...] = ()
 
     @property
     def ettr(self) -> MetricStats:
         """Shortcut for the headline metric."""
         return self.metrics["ettr"]
 
-    def summary(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"{self.machine}: gang of {self.gang_nodes} nodes, "
-            f"{self.replications} replications x "
-            f"{self.horizon_hours:g} h "
-            f"({int(self.ci * 100)}% percentile intervals)"
-        ]
-        if self.failed_replications:
-            lines.append(
-                f"  {self.failed_replications} replication(s) failed"
-            )
-        lines.extend(f"  {self.metrics[name]}" for name in TRAIN_METRICS)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class _TrainTask:
-    """Picklable spec of one training replication."""
-
-    machine: str
-    seed: int
-    horizon_hours: float
-    intensity: float
-    presample: bool
-    gang_nodes: int
-    step_time_hours: float
-    detection_delay_hours: float
-    total_work_hours: float | None
-    checkpoint_interval_hours: float
-    checkpoint_cost_hours: float
-    restart_cost_hours: float
-
-
-def _run_train_replication(task: _TrainTask) -> SimulationReport:
-    """Worker entry point: one seeded training run, report only."""
-    simulator = ClusterSimulator(
-        task.machine,
-        seed=task.seed,
-        intensity=task.intensity,
-        presample=task.presample,
-        keep_injected_log=False,
-        checkpoint_policy=CheckpointPolicy(
-            interval_hours=task.checkpoint_interval_hours,
-            cost_hours=task.checkpoint_cost_hours,
-            restart_cost_hours=task.restart_cost_hours,
-        ),
-        train=TrainingJobConfig(
-            num_nodes=task.gang_nodes,
-            step_time_hours=task.step_time_hours,
-            detection_delay_hours=task.detection_delay_hours,
-            total_work_hours=task.total_work_hours,
-        ),
-    )
-    return simulator.run(task.horizon_hours)
+    def _shape(self) -> str:
+        return f"gang of {self.gang_nodes} nodes, {super()._shape()}"
 
 
 def run_train_replications(
@@ -138,94 +79,43 @@ def run_train_replications(
     intensity: float = 1.0,
     ci: float = 0.95,
     max_workers: int | None = None,
-    presample: bool = True,
-    retries: int = 0,
 ) -> TrainEnsembleReport:
     """Run a Monte-Carlo ensemble of gang-training runs.
 
     Args:
         machine: Any registered machine name.
-        replications: Independently-seeded runs (>= 1).
-        horizon_hours: Simulated horizon of each run.
+        replications, horizon_hours, seed, ci, max_workers: See
+            :func:`repro.sim.montecarlo.run_ensemble`.
         checkpoint_policy: Checkpoint economics shared by every run.
         train: Gang shape; defaults to :class:`TrainingJobConfig`'s
             64-node gang.
-        seed: Master seed (prefix-stable per-replication spawning).
         intensity: Failure-rate multiplier.
-        ci: Confidence level of the percentile intervals, in (0, 1).
-        max_workers: ``None``/``1`` serial; ``N > 1`` fans out over the
-            warm worker pool.  Bit-identical at any worker count.
-        presample: Injector draw strategy.
-        retries: Per-replication retry budget before recording failure.
 
     Returns:
-        A :class:`TrainEnsembleReport`; failed replications are skipped
-        by the fold and attributed in ``errors``.
+        A :class:`TrainEnsembleReport` over :data:`TRAIN_METRICS`;
+        failed replications are skipped by the fold and attributed in
+        ``errors``.
 
     Raises:
         ValidationError: On invalid ensemble parameters.
         SimulationError: If every replication failed.
     """
-    if replications < 1:
-        raise ValidationError(
-            f"replications must be >= 1, got {replications}"
-        )
-    if not 0.0 < ci < 1.0:
-        raise ValidationError(f"ci must lie in (0, 1), got {ci}")
     if train is None:
         train = TrainingJobConfig()
-    tasks = [
-        _TrainTask(
-            machine=machine,
-            seed=replication_seed,
-            horizon_hours=horizon_hours,
-            intensity=intensity,
-            presample=presample,
-            gang_nodes=train.num_nodes,
-            step_time_hours=train.step_time_hours,
-            detection_delay_hours=train.detection_delay_hours,
-            total_work_hours=train.total_work_hours,
-            checkpoint_interval_hours=checkpoint_policy.interval_hours,
-            checkpoint_cost_hours=checkpoint_policy.cost_hours,
-            restart_cost_hours=checkpoint_policy.restart_cost_hours,
-        )
-        for replication_seed in spawn_seeds(seed, replications)
-    ]
-    folds = {name: _MetricFold(name) for name in TRAIN_METRICS}
-    errors: list[tuple[int, str]] = []
-    outcome: SweepOutcome
-    for outcome in sweep_iter(
-        _run_train_replication,
-        tasks,
-        processes=max_workers,
-        retries=retries,
-    ):
-        if not outcome.ok:
-            errors.append(
-                (
-                    outcome.index,
-                    f"{type(outcome.error).__name__}: {outcome.error}",
-                )
-            )
-            continue
-        report = outcome.result
-        for name, fold in folds.items():
-            fold.push(_metric_value(report, name))
-    completed = replications - len(errors)
-    if completed == 0:
-        raise SimulationError(
-            f"all {replications} training replications failed; first "
-            f"error: {errors[0][1]}"
-        )
-    return TrainEnsembleReport(
-        machine=machine,
-        horizon_hours=horizon_hours,
-        gang_nodes=train.num_nodes,
-        replications=completed,
-        failed_replications=len(errors),
+    return run_ensemble(
+        machine,
+        replications,
+        horizon_hours,
+        options={
+            "intensity": intensity,
+            "checkpoint_policy": checkpoint_policy,
+            "train": train,
+        },
+        metrics=_EXTRACTORS,
+        make_report=partial(TrainEnsembleReport, gang_nodes=train.num_nodes),
+        seed=seed,
         ci=ci,
-        metrics={name: fold.stats(ci) for name, fold in folds.items()},
-        errors=tuple(errors),
+        max_workers=max_workers,
     )
 
 
@@ -240,15 +130,6 @@ def train_ensemble_payload(
         "replications": ensemble.replications,
         "failed_replications": ensemble.failed_replications,
         "ci": ensemble.ci,
-        "metrics": {
-            name: {
-                "mean": stats.mean,
-                "std": stats.std,
-                "stderr": stats.stderr,
-                "ci_lower": stats.ci_lower,
-                "ci_upper": stats.ci_upper,
-            }
-            for name, stats in ensemble.metrics.items()
-        },
+        "metrics": stats_payload(ensemble.metrics),
         "errors": [list(item) for item in ensemble.errors],
     }

@@ -5,14 +5,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, ValidationError
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.montecarlo import (
     EnsembleReport,
-    _ReplicationTask,
-    _run_replication,
     run_replications,
     spawn_seeds,
 )
 from repro.sim.simulator import ClusterSimulator
+from repro.train.config import TrainingJobConfig
+from repro.train.montecarlo import run_train_replications
+
+#: Both public ensemble runners, serial, with the shape left open.
+RUNNERS = {
+    "run_replications": lambda **kwargs: run_replications(
+        "tsubame2", horizon_hours=200.0, seed=4, max_workers=1, **kwargs
+    ),
+    "run_train_replications": lambda **kwargs: run_train_replications(
+        "tsubame3",
+        horizon_hours=150.0,
+        checkpoint_policy=CheckpointPolicy(
+            interval_hours=2.0, cost_hours=0.1
+        ),
+        train=TrainingJobConfig(num_nodes=16),
+        seed=4,
+        max_workers=1,
+        **kwargs,
+    ),
+}
 
 
 class TestSpawnSeeds:
@@ -165,19 +184,37 @@ class TestEnsemble:
         with pytest.raises(SimulationError, match="replications failed"):
             run_replications("tsubame2", 2, horizon_hours=-1.0)
 
-    def test_failed_replications_attributed(self):
-        # A poisoned task (bad machine) would fail construction; use a
-        # direct worker call to check attribution plumbing instead.
-        task = _ReplicationTask(
-            machine="tsubame2",
-            seed=1,
-            horizon_hours=100.0,
-            intensity=1.0,
-            health_test_effectiveness=0.0,
-            num_technicians=None,
-            spare_lead_time_hours=None,
-            presample=True,
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_failed_replications_attributed(self, runner, monkeypatch):
+        run = RUNNERS[runner]
+        seeds = spawn_seeds(4, 4)
+        poisoned = 1
+        original = ClusterSimulator.run
+
+        def run_or_raise(simulator, horizon_hours):
+            if simulator.config.seed == seeds[poisoned]:
+                raise RuntimeError("poisoned seed")
+            return original(simulator, horizon_hours)
+
+        monkeypatch.setattr(ClusterSimulator, "run", run_or_raise)
+        ensemble = run(replications=4)
+        assert ensemble.failed_replications == 1
+        assert ensemble.replications == 3
+        assert len(ensemble.errors) == 1
+        index, message = ensemble.errors[0]
+        assert index == poisoned
+        assert message.startswith("RuntimeError")
+        # The same fold over the surviving seeds alone, in order.
+        survivors = seeds[:poisoned] + seeds[poisoned + 1:]
+        monkeypatch.setattr(
+            "repro.sim.montecarlo.spawn_seeds", lambda seed, n: survivors
         )
-        report = _run_replication(task)
-        assert report.horizon_hours == 100.0
-        assert report.machine == "tsubame2"
+        assert ensemble.metrics == run(replications=3).metrics
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("ci, label", [(0.57, "57%"), (0.29, "29%")])
+    def test_summary_percent_is_rounded(self, runner, ci, label):
+        # int(0.57 * 100) is 56: the header must round, not truncate.
+        ensemble = RUNNERS[runner](replications=2, ci=ci)
+        header = ensemble.summary().splitlines()[0]
+        assert header.endswith(f"({label} percentile intervals)")
