@@ -5,8 +5,9 @@ Runs the full :mod:`perf_sim` benchmark (1x/10x/100x failure
 intensity plus the replication ensemble), writes ``BENCH_sim.json``,
 and asserts the invariants that must never regress: the vectorized
 injector processes events >= 5x faster than the per-event reference
-path at 10x intensity, and the parallel ensemble is bit-identical to
-the serial one.
+path at 10x intensity, the scheduler and gang tiers never call the
+fleet scan ``Cluster.available_nodes``, and the parallel ensemble is
+bit-identical to the serial one.
 
 Parity is asserted on every host.  The replication-scaling criterion
 (>2x with 4 workers) is asserted only when the machine actually has
@@ -50,6 +51,12 @@ def test_fast_path_simulates_comparable_dynamics(results):
         ref = scale["reference"]["failures"]
         assert fast > 0 and ref > 0, label
         assert 0.5 < fast / ref < 2.0, (label, fast, ref)
+
+
+def test_scheduler_and_gang_tiers_never_scan(results):
+    for name, tier in results["tiers"].items():
+        assert tier["events"] > 0, name
+        assert tier["available_nodes_calls"] == 0, (name, tier)
 
 
 def test_ensemble_parity_serial_vs_parallel(results):

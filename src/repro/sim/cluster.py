@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.machines.specs import MachineSpec
 
@@ -80,13 +82,16 @@ class Cluster:
             for index in range(spec.num_nodes)
         ]
         self._history: list[DowntimeInterval] = []
-        # Swap-remove index of healthy node ids: O(1) membership
-        # updates on fail/repair and O(1) uniform sampling, so the
-        # fault injector never scans the fleet per event.  The list
-        # order is arbitrary but evolves deterministically with the
-        # event history.
+        # The free-node index, kept in two views updated together on
+        # fail/repair.  A swap-remove list of healthy ids gives O(1)
+        # counts and uniform sampling to the fault injector (its order
+        # is arbitrary but evolves deterministically with the event
+        # history); a boolean healthy mask gives the scheduler and the
+        # gang the lowest free ids in one vectorized pass.  Neither
+        # view is rebuilt by scanning the fleet per event.
         self._available: list[int] = list(range(spec.num_nodes))
         self._available_slot: list[int] = list(range(spec.num_nodes))
+        self._healthy = np.ones(spec.num_nodes, dtype=bool)
 
     @property
     def spec(self) -> MachineSpec:
@@ -116,6 +121,25 @@ class Cluster:
     def available_nodes(self) -> list[int]:
         """Ids of nodes currently healthy, in ascending order."""
         return [n.node_id for n in self._nodes if n.is_available]
+
+    def first_available(
+        self, count: int, busy: np.ndarray | None = None
+    ) -> list[int]:
+        """The lowest ``count`` healthy node ids, ascending.
+
+        With a ``busy`` boolean mask (one entry per node), nodes set in
+        it are skipped.  Returns fewer than ``count`` ids when fewer
+        are free; pair with :meth:`num_available` to check capacity
+        before asking.  Unlike :meth:`available_nodes`, which scans
+        every node, this reads the free-node index.
+
+        Raises:
+            SimulationError: On a negative count.
+        """
+        if count < 0:
+            raise SimulationError(f"count must be >= 0, got {count}")
+        free = self._healthy if busy is None else self._healthy & ~busy
+        return np.flatnonzero(free)[:count].tolist()
 
     def num_available(self) -> int:
         """Count of healthy nodes."""
@@ -149,10 +173,12 @@ class Cluster:
         self._available_slot[last] = slot
         self._available.pop()
         self._available_slot[node_id] = -1
+        self._healthy[node_id] = False
 
     def _mark_available(self, node_id: int) -> None:
         self._available_slot[node_id] = len(self._available)
         self._available.append(node_id)
+        self._healthy[node_id] = True
 
     # -- state transitions -------------------------------------------------
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.cluster import Cluster
@@ -77,6 +79,9 @@ class Scheduler:
         self._pending: list[Job] = []
         self._running: dict[int, _RunningJob] = {}
         self._node_to_job: dict[int, int] = {}
+        # The same membership as ``_node_to_job``'s keys, as a mask the
+        # cluster's free-node index can filter by.
+        self._busy = np.zeros(cluster.num_nodes, dtype=bool)
         self._epochs: dict[int, int] = {}
         self._in_maintenance = False
         self._maintenance_windows = 0
@@ -175,8 +180,7 @@ class Scheduler:
         if job_id is None:
             return
         entry = self._running.pop(job_id)
-        for node in entry.nodes:
-            self._node_to_job.pop(node, None)
+        self._release(entry.nodes)
         job = entry.job
         if self._engine.has_subscribers("job_killed"):
             self._engine.publish(
@@ -218,12 +222,10 @@ class Scheduler:
         intervals = int(elapsed // self._policy.interval_hours)
         return intervals * self._policy.committed_per_interval_hours
 
-    def _free_nodes(self) -> list[int]:
-        return [
-            node_id
-            for node_id in self._cluster.available_nodes()
-            if node_id not in self._node_to_job
-        ]
+    def _release(self, nodes: tuple[int, ...]) -> None:
+        for node in nodes:
+            del self._node_to_job[node]
+        self._busy[list(nodes)] = False
 
     def _wall_time_for(self, work_hours: float) -> float:
         if self._policy is None:
@@ -236,7 +238,10 @@ class Scheduler:
     def _try_schedule(self) -> None:
         if self._in_maintenance:
             return
-        free = self._free_nodes()
+        # Busy nodes are always healthy: a failure evicts its job
+        # before anything reschedules.  So the free count is a
+        # difference of two counts, with no scan of the fleet.
+        free = self._cluster.num_available() - len(self._node_to_job)
         scheduled_any = True
         while scheduled_any and self._pending:
             scheduled_any = False
@@ -244,10 +249,12 @@ class Scheduler:
             for index, job in enumerate(self._pending):
                 if index > self._backfill_depth:
                     break
-                if job.num_nodes <= len(free):
+                if job.num_nodes <= free:
                     self._pending.pop(index)
-                    nodes = tuple(free[: job.num_nodes])
-                    free = free[job.num_nodes:]
+                    nodes = tuple(self._cluster.first_available(
+                        job.num_nodes, self._busy
+                    ))
+                    free -= job.num_nodes
                     self._start(job, nodes)
                     scheduled_any = True
                     break
@@ -265,6 +272,7 @@ class Scheduler:
         )
         for node in nodes:
             self._node_to_job[node] = job.job_id
+        self._busy[list(nodes)] = True
         if self._engine.has_subscribers("job_start"):
             self._engine.publish(
                 "job_start",
@@ -282,8 +290,7 @@ class Scheduler:
         if entry is None or entry.epoch != epoch:
             return  # stale completion: the job failed and restarted
         self._running.pop(job.job_id)
-        for node in entry.nodes:
-            self._node_to_job.pop(node, None)
+        self._release(entry.nodes)
         self.stats.useful_node_hours += (
             job.remaining_hours * job.num_nodes
         )

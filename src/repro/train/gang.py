@@ -263,10 +263,9 @@ class GangTrainingRun:
         now = self._engine.now
         if now + _TOL < self._eligible_at:
             return  # teardown/detection still in progress
-        free = self._cluster.available_nodes()
-        if len(free) < self._config.num_nodes:
+        if self._cluster.num_available() < self._config.num_nodes:
             return  # stay queued; the next repair retries
-        nodes = tuple(free[: self._config.num_nodes])
+        nodes = tuple(self._cluster.first_available(self._config.num_nodes))
         self._members = frozenset(nodes)
         if self._pending_since is not None:
             stall = now - self._pending_since

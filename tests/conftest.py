@@ -5,9 +5,17 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import settings
 
 from repro.core.records import FailureLog, FailureRecord
 from repro.synth import generate_log
+
+# Property tests draw the same examples on every run (seeded from each
+# test function; no example database), so a tier-1 result repeats run
+# to run.  To explore fresh examples, select hypothesis's own default
+# profile: ``--hypothesis-profile default [--hypothesis-seed N]``.
+settings.register_profile("repro", derandomize=True)
+settings.load_profile("repro")
 
 #: A fixed origin for hand-built logs.
 T0 = datetime(2020, 1, 1)

@@ -1,6 +1,9 @@
 """Tests for the cluster state machine."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.machines.specs import TSUBAME3
@@ -139,3 +142,69 @@ class TestAvailabilityIndex:
         cluster.start_repair(4, time=3.0)
         cluster.complete_repair(4, time=4.0)
         assert cluster.num_available() == TSUBAME3.num_nodes
+
+
+#: Node ids the property tests touch: a low prefix of the fleet, so
+#: fail/repair sequences keep hitting the ids ``first_available``
+#: returns.
+_LOW_IDS = st.integers(0, 31)
+
+
+def _apply(cluster: Cluster, steps) -> None:
+    """Fail or advance the repair of each node in ``steps``."""
+    for time, (fail, node_id) in enumerate(steps):
+        state = cluster.node(node_id).state
+        if fail or state is NodeState.HEALTHY:
+            cluster.fail(node_id, "GPU", time=float(time))  # may absorb
+        elif state is NodeState.FAILED:
+            cluster.start_repair(node_id, time=float(time))
+        else:
+            cluster.complete_repair(node_id, time=float(time))
+
+
+class TestFirstAvailable:
+    def test_lowest_healthy_ids_ascending(self, cluster):
+        for node_id in (0, 2, 3):
+            cluster.fail(node_id, "GPU", time=1.0)
+        assert cluster.first_available(3) == [1, 4, 5]
+
+    def test_zero_count(self, cluster):
+        assert cluster.first_available(0) == []
+
+    def test_count_beyond_free_returns_all_free(self, cluster):
+        cluster.fail(1, "GPU", time=1.0)
+        busy = np.zeros(cluster.num_nodes, dtype=bool)
+        busy[2:] = True
+        assert cluster.first_available(cluster.num_nodes + 5) == (
+            cluster.available_nodes()
+        )
+        assert cluster.first_available(10, busy) == [0]
+
+    def test_negative_count_rejected(self, cluster):
+        with pytest.raises(SimulationError):
+            cluster.first_available(-1)
+
+    def test_absorbed_refailure_keeps_node_out(self, cluster):
+        cluster.fail(0, "GPU", time=1.0)
+        cluster.fail(0, "Memory", time=2.0)  # absorbed
+        assert cluster.first_available(2) == [1, 2]
+        cluster.start_repair(0, time=3.0)
+        assert cluster.first_available(2) == [1, 2]
+        cluster.complete_repair(0, time=4.0)
+        assert cluster.first_available(2) == [0, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.booleans(), _LOW_IDS), max_size=60),
+        busy_ids=st.sets(_LOW_IDS),
+        count=st.integers(0, TSUBAME3.num_nodes + 5),
+    )
+    def test_matches_full_scan(self, steps, busy_ids, count):
+        cluster = Cluster(TSUBAME3)
+        _apply(cluster, steps)
+        healthy = cluster.available_nodes()
+        assert cluster.first_available(count) == healthy[:count]
+        busy = np.zeros(cluster.num_nodes, dtype=bool)
+        busy[list(busy_ids)] = True
+        free = [node for node in healthy if node not in busy_ids]
+        assert cluster.first_available(count, busy) == free[:count]
