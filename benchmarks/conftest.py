@@ -8,12 +8,18 @@ what factor, where the crossovers fall.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Add ``-s`` to see the regenerated tables and figures.
+
+The ``test_bench_perf*.py`` modules each name their perf module as
+``PERF``; the ``results`` fixture runs it once per test module through
+:func:`harness.main`, which writes ``BENCH_<name>.json``, checks that
+the file round-trips and appends the report to ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import harness
 from repro.core.records import FailureLog
 from repro.synth import generate_log
 
@@ -30,3 +36,11 @@ def t2_log() -> FailureLog:
 def t3_log() -> FailureLog:
     """Calibrated Tsubame-3 failure log (338 failures)."""
     return generate_log("tsubame3", seed=BENCH_SEED)
+
+
+@pytest.fixture(scope="module")
+def results(request) -> dict:
+    """The test module's ``PERF`` benchmark report, ``meta`` included."""
+    perf = request.module.PERF
+    name = perf.__name__.removeprefix("perf_")
+    return harness.main(name, perf.run_benchmark, perf.summary_lines)

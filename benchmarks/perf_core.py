@@ -25,67 +25,19 @@ Run::
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import platform
-import time
-from pathlib import Path
 
-import numpy as np
-
+import harness
 from repro.core import metrics, multigpu, seasonal, spatial, temporal
 from repro.core import taxonomy
 from repro.core.records import FailureLog
 from repro.core.taxonomy import FailureClass
-from repro.parallel import available_cpus, sweep
+from repro.parallel import sweep
 from repro.synth import GeneratorConfig, generate_log
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_core.json"
 
 BENCH_SEED = 42
 SCALES = {"1x": 1, "10x": 10, "100x": 100}
 SWEEP_SEEDS = 50
 SWEEP_WORKERS = 4
-
-
-def _selected_scales() -> dict[str, int]:
-    """Scales to run, optionally restricted via ``REPRO_BENCH_SCALES``.
-
-    The variable is a comma-separated list of multipliers (``"1"``,
-    ``"1,10"``) or labels (``"1x,10x"``); CI smoke runs set it to
-    ``1`` so the 100x tier does not eat the build budget.
-    """
-    raw = os.environ.get("REPRO_BENCH_SCALES", "").strip()
-    if not raw:
-        return dict(SCALES)
-    wanted = {
-        token if token.endswith("x") else f"{token}x"
-        for token in (t.strip() for t in raw.split(","))
-        if token
-    }
-    selected = {
-        label: factor
-        for label, factor in SCALES.items()
-        if label in wanted
-    }
-    if not selected:
-        raise SystemExit(
-            f"REPRO_BENCH_SCALES={raw!r} matches no known scale "
-            f"(choose from {', '.join(SCALES)})"
-        )
-    return selected
-
-
-def _best_of(fn, repeats: int = 3):
-    """Best wall-clock of ``repeats`` calls, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def tiled_log(factor: int, seed: int = BENCH_SEED) -> FailureLog:
@@ -265,32 +217,32 @@ KERNELS = {
 
 
 def _bench_scale(factor: int) -> dict:
-    start = time.perf_counter()
-    log = tiled_log(factor)
-    build_s = time.perf_counter() - start
+    build_s, log = harness.best_of(lambda: tiled_log(factor), 1)
 
-    filter_fast_s, fast_n = _best_of(lambda: filter_chain_fast(log))
-    filter_ref_s, ref_n = _best_of(
-        lambda: filter_chain_reference(log), repeats=1
+    filter_fast_s, fast_n = harness.best_of(
+        lambda: filter_chain_fast(log)
+    )
+    filter_ref_s, ref_n = harness.best_of(
+        lambda: filter_chain_reference(log), 1
     )
 
     # Cold = first touch on a fresh log (includes the one-time column
     # build); warm = the steady state every later call sees.
     cold_log = tiled_log(factor)
-    start = time.perf_counter()
-    analysis_chain_fast(cold_log)
-    chain_cold_s = time.perf_counter() - start
-    chain_warm_s, fast_out = _best_of(
+    chain_cold_s, _ = harness.best_of(
+        lambda: analysis_chain_fast(cold_log), 1
+    )
+    chain_warm_s, fast_out = harness.best_of(
         lambda: analysis_chain_fast(cold_log)
     )
-    chain_ref_s, ref_out = _best_of(
-        lambda: analysis_chain_reference(cold_log), repeats=1
+    chain_ref_s, ref_out = harness.best_of(
+        lambda: analysis_chain_reference(cold_log), 1
     )
 
     kernels = {}
     for name, (fast_fn, ref_fn) in KERNELS.items():
-        fast_s, _ = _best_of(lambda: fast_fn(log))
-        ref_s, _ = _best_of(lambda: ref_fn(log), repeats=1)
+        fast_s, _ = harness.best_of(lambda: fast_fn(log))
+        ref_s, _ = harness.best_of(lambda: ref_fn(log), 1)
         kernels[name] = {
             "fast_s": fast_s,
             "reference_s": ref_s,
@@ -335,53 +287,47 @@ def _sweep_job(seed: int) -> tuple[int, float]:
 
 def _bench_sweep() -> dict:
     seeds = list(range(SWEEP_SEEDS))
-    start = time.perf_counter()
-    serial = sweep(_sweep_job, seeds, processes=1)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = sweep(_sweep_job, seeds, processes=SWEEP_WORKERS)
-    parallel_s = time.perf_counter() - start
+
+    def run(processes: int):
+        return sweep(_sweep_job, seeds, processes=processes)
+
+    # The first 4-worker call may pay the pool's one-off spawn; the
+    # best-of figures compare serial against the warm pool.
+    parallel_first_s, _ = harness.best_of(lambda: run(SWEEP_WORKERS), 1)
+    serial_s, serial = harness.best_of(lambda: run(1))
+    parallel_s, parallel = harness.best_of(lambda: run(SWEEP_WORKERS))
     return {
         "seeds": SWEEP_SEEDS,
         "workers": SWEEP_WORKERS,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
+        "parallel_first_s": parallel_first_s,
         "speedup": serial_s / parallel_s
         if parallel_s
         else float("inf"),
         "identical": serial == parallel,
         # Parity (identical) holds on any host; the speedup ratio is
         # only a claim where there are cores to back it.
-        "speedup_asserted": available_cpus() >= 2,
+        "speedup_asserted": harness.can_show_speedup(2),
     }
 
 
 def run_benchmark() -> dict:
-    results = {
-        "schema": 1,
+    return {
         "seed": BENCH_SEED,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "scales": {
             label: _bench_scale(factor)
-            for label, factor in _selected_scales().items()
+            for label, factor in harness.selected_scales(SCALES).items()
         },
         "sweep": _bench_sweep(),
     }
-    return results
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
+    lines = []
     for label, scale in results["scales"].items():
         chain = scale["analysis_chain"]
-        print(
+        lines.append(
             f"{label:>4} ({scale['records']} records): "
             f"analysis {chain['fast_warm_s'] * 1e3:.1f} ms vs "
             f"reference {chain['reference_s'] * 1e3:.1f} ms "
@@ -390,18 +336,17 @@ def main() -> None:
             f"filter chain {scale['filter_chain']['speedup']:.1f}x"
         )
     sweep_result = results["sweep"]
-    print(
+    lines.append(
         f"sweep ({sweep_result['seeds']} seeds, "
         f"{sweep_result['workers']} workers on "
-        f"{results['cpu_count']} cores): "
+        f"{results['meta']['available_cpus']} cores): "
         f"{sweep_result['serial_s']:.2f} s serial vs "
         f"{sweep_result['parallel_s']:.2f} s parallel "
         f"({sweep_result['speedup']:.2f}x), "
         f"identical={sweep_result['identical']}"
     )
-    path = write_report(results)
-    print(f"wrote {path}")
+    return lines
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("core", run_benchmark, summary_lines)

@@ -33,18 +33,12 @@ autotuner's chunk duration target.
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import platform
 import time
-from pathlib import Path
 
-import numpy as np
-
+import harness
 from repro.parallel import (
     SharedPayload,
-    available_cpus,
     pool_stats,
     shutdown_pool,
     sweep,
@@ -52,9 +46,6 @@ from repro.parallel import (
 from repro.predict.tuning import sweep_rate_predictor
 from repro.sim.montecarlo import run_replications
 from repro.synth import GeneratorConfig, generate_log
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame2"
@@ -64,11 +55,6 @@ ENSEMBLE_HORIZON_HOURS = 500.0
 STEALING_SHORT_S = 0.01
 STEALING_LONG_S = 0.5
 STEALING_ITEMS = 32
-
-
-def _replications() -> int:
-    raw = os.environ.get("REPRO_BENCH_REPLICATIONS", "").strip()
-    return int(raw) if raw else ENSEMBLE_REPLICATIONS
 
 
 def _square(seed: int) -> int:
@@ -108,7 +94,9 @@ def _bench_pool() -> dict:
 
 
 def _bench_ensemble() -> dict:
-    replications = _replications()
+    replications = harness.env_int(
+        "REPRO_BENCH_REPLICATIONS", ENSEMBLE_REPLICATIONS
+    )
 
     def run(max_workers):
         return run_replications(
@@ -139,7 +127,7 @@ def _bench_ensemble() -> dict:
         "parallel_s": parallel_s,
         "speedup": serial_s / parallel_s if parallel_s else float("inf"),
         "parity_ok": parity,
-        "speedup_asserted": available_cpus() >= 2,
+        "speedup_asserted": harness.can_show_speedup(2),
     }
 
 
@@ -186,7 +174,7 @@ def _bench_shm() -> dict:
         "serial_s": serial_s,
         "parallel_s": parallel_s,
         "parity_ok": parity,
-        "speedup_asserted": available_cpus() >= 2,
+        "speedup_asserted": harness.can_show_speedup(2),
     }
 
 
@@ -224,13 +212,8 @@ def _bench_stealing() -> dict:
 
 def run_benchmark() -> dict:
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
         "machine": BENCH_MACHINE,
-        "cpu_count": os.cpu_count() or 1,
-        "available_cpus": available_cpus(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "pool": _bench_pool(),
         "ensemble": _bench_ensemble(),
         "shm": _bench_shm(),
@@ -238,47 +221,33 @@ def run_benchmark() -> dict:
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
     pool = results["pool"]
-    print(
+    ensemble = results["ensemble"]
+    shm = results["shm"]
+    stealing = results["stealing"]
+    return [
         f"pool: cold {pool['cold_s'] * 1e3:.1f} ms vs warm "
         f"{pool['warm_s'] * 1e3:.1f} ms "
-        f"({pool['warm_vs_cold']:.1f}x), spawns={pool['spawns']}"
-    )
-    ensemble = results["ensemble"]
-    print(
+        f"({pool['warm_vs_cold']:.1f}x), spawns={pool['spawns']}",
         f"ensemble ({ensemble['replications']} replications, "
         f"{ensemble['workers']} workers on "
-        f"{results['available_cpus']} schedulable cores): "
+        f"{results['meta']['available_cpus']} schedulable cores): "
         f"{ensemble['serial_s']:.2f}s serial vs "
         f"{ensemble['parallel_s']:.2f}s parallel "
         f"({ensemble['speedup']:.2f}x, "
         f"asserted={ensemble['speedup_asserted']}), "
-        f"parity={ensemble['parity_ok']}"
-    )
-    shm = results["shm"]
-    print(
+        f"parity={ensemble['parity_ok']}",
         f"shm: per-task payload {shm['per_task_payload_bytes_old']:,} B"
         f" -> {shm['per_chunk_payload_bytes_new']:,} B per chunk "
         f"({shm['payload_shrink_factor']:.0f}x smaller), "
-        f"parity={shm['parity_ok']}"
-    )
-    stealing = results["stealing"]
-    print(
+        f"parity={shm['parity_ok']}",
         f"stealing: {stealing['serial_sum_s']:.2f}s of sleep drained "
         f"in {stealing['parallel_s']:.2f}s "
         f"({stealing['speedup_vs_serial_sum']:.1f}x), "
-        f"ordered={stealing['ordered_ok']}"
-    )
-    path = write_report(results)
-    print(f"wrote {path}")
+        f"ordered={stealing['ordered_ok']}",
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("parallel", run_benchmark, summary_lines)

@@ -32,18 +32,14 @@ phase).
 from __future__ import annotations
 
 import http.client
-import json
 import os
-import platform
 import statistics
 import threading
 import time
-from pathlib import Path
 
+import harness
 from repro.serve import DatasetRegistry, ReproApp, run_in_thread
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_serve.json"
+from repro.serve.http import json_body
 
 BENCH_SEED = 42
 SIMULATE_HORIZON_HOURS = 300.0
@@ -51,11 +47,6 @@ CACHED_SAMPLES = 30
 DEFAULT_REPLICATIONS = 4
 DEFAULT_CLIENTS = 8
 DEFAULT_REQUESTS_PER_CLIENT = 50
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
 
 
 def _request(
@@ -70,9 +61,7 @@ def _request(
     """
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
     try:
-        body = (
-            json.dumps(payload).encode() if payload is not None else None
-        )
+        body = json_body(payload) if payload is not None else None
         start = time.perf_counter()
         conn.request(method, path, body)
         response = conn.getresponse()
@@ -116,7 +105,7 @@ def _bench_latency(port: int, replications: int) -> dict:
     # handshake per request would swamp the sub-millisecond cache hit
     # and understate the speedup this benchmark exists to measure.
     cached: list[float] = []
-    body_bytes = json.dumps(payload).encode()
+    body_bytes = json_body(payload)
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
     try:
         for _ in range(CACHED_SAMPLES):
@@ -235,11 +224,11 @@ def _bench_sustained(
 
 
 def run_benchmark() -> dict:
-    replications = _env_int(
+    replications = harness.env_int(
         "REPRO_BENCH_SERVE_REPLICATIONS", DEFAULT_REPLICATIONS
     )
-    clients = _env_int("REPRO_BENCH_SERVE_CLIENTS", DEFAULT_CLIENTS)
-    requests_per_client = _env_int(
+    clients = harness.env_int("REPRO_BENCH_SERVE_CLIENTS", DEFAULT_CLIENTS)
+    requests_per_client = harness.env_int(
         "REPRO_BENCH_SERVE_REQUESTS", DEFAULT_REQUESTS_PER_CLIENT
     )
     app = _make_app()
@@ -253,10 +242,7 @@ def run_benchmark() -> dict:
         )
         stats = app.stats.snapshot()
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
         "latency": latency,
         "coalescing": coalescing,
         "sustained": sustained,
@@ -268,39 +254,27 @@ def run_benchmark() -> dict:
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
     latency = results["latency"]
-    print(
+    coalescing = results["coalescing"]
+    sustained = results["sustained"]
+    return [
         f"simulate ({latency['replications']} replications): "
         f"cold {latency['cold_ms']:.1f} ms, cached "
         f"{latency['cached_ms']:.2f} ms "
-        f"({latency['speedup']:.0f}x, byte-identical)"
-    )
-    coalescing = results["coalescing"]
-    print(
+        f"({latency['speedup']:.0f}x, byte-identical)",
         f"coalescing: {coalescing['concurrent_requests']} identical "
         f"concurrent requests -> {coalescing['backend_executions']} "
         f"backend execution(s) "
-        f"(factor {coalescing['coalescing_factor']:.0f})"
-    )
-    sustained = results["sustained"]
-    print(
+        f"(factor {coalescing['coalescing_factor']:.0f})",
         f"sustained: {sustained['total_requests']} cached requests "
         f"across {sustained['clients']} clients in "
         f"{sustained['wall_s']:.2f} s = "
         f"{sustained['requests_per_s']:,.0f} req/s "
         f"(p50 {sustained['p50_ms']:.2f} ms, "
-        f"p99 {sustained['p99_ms']:.2f} ms)"
-    )
-    path = write_report(results)
-    print(f"wrote {path}")
+        f"p99 {sustained['p99_ms']:.2f} ms)",
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("serve", run_benchmark, summary_lines)

@@ -18,8 +18,8 @@ reports:
 
 Honest-numbers convention: the >= 4x aggregate speedup is only
 *asserted* when the host can physically deliver it
-(``cpu_count >= 4`` and at least 4 shards); smaller hosts still run
-everything and record the measured speedup with
+(``harness.can_show_speedup(4)`` and at least 4 shards); smaller
+hosts still run everything and record the measured speedup with
 ``speedup_asserted: false``.
 
 Writes ``BENCH_serve_sharded.json`` at the repo root.
@@ -38,13 +38,10 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import platform
 import threading
 import time
-from pathlib import Path
 
-from repro.parallel import available_cpus
+import harness
 from repro.serve import (
     DatasetRegistry,
     ReproApp,
@@ -52,9 +49,7 @@ from repro.serve import (
     run_in_thread,
     run_router_in_thread,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_serve_sharded.json"
+from repro.serve.http import json_body
 
 BENCH_SEED = 42
 DATASET_SPECS = (
@@ -65,11 +60,6 @@ WARM_PATHS = ("/analyze/t2/breakdown", "/analyze/t3/metrics")
 DEFAULT_CLIENTS = 8
 DEFAULT_REQUESTS_PER_CLIENT = 50
 SPEEDUP_FLOOR = 4.0
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
 
 
 def _get(port: int, path: str) -> tuple[int, bytes]:
@@ -88,7 +78,7 @@ def _post(port: int, path: str, payload: dict) -> tuple[int, bytes]:
         conn.request(
             "POST",
             path,
-            json.dumps(payload).encode(),
+            json_body(payload),
             {"Content-Type": "application/json"},
         )
         response = conn.getresponse()
@@ -208,11 +198,12 @@ def _bench_jobs(port: int) -> dict:
 
 
 def run_benchmark() -> dict:
-    cpu_count = available_cpus()
-    default_shards = 4 if cpu_count >= 4 else 2
-    shards = max(1, _env_int("REPRO_BENCH_SERVE_SHARDS", default_shards))
-    clients = _env_int("REPRO_BENCH_SERVE_CLIENTS", DEFAULT_CLIENTS)
-    requests_per_client = _env_int(
+    default_shards = 4 if harness.can_show_speedup(4) else 2
+    shards = max(
+        1, harness.env_int("REPRO_BENCH_SERVE_SHARDS", default_shards)
+    )
+    clients = harness.env_int("REPRO_BENCH_SERVE_CLIENTS", DEFAULT_CLIENTS)
+    requests_per_client = harness.env_int(
         "REPRO_BENCH_SERVE_REQUESTS", DEFAULT_REQUESTS_PER_CLIENT
     )
 
@@ -258,17 +249,14 @@ def run_benchmark() -> dict:
     # A 1-core host cannot parallelize anything; asserting 4x there
     # would only prove the benchmark lies.  Record honest numbers and
     # assert only where the hardware can deliver.
-    speedup_asserted = cpu_count >= 4 and shards >= 4
+    speedup_asserted = harness.can_show_speedup(4) and shards >= 4
     if speedup_asserted:
         assert speedup >= SPEEDUP_FLOOR, (
             f"aggregate speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x "
-            f"on {cpu_count} cores with {shards} shards"
+            f"with {shards} shards"
         )
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
-        "cpu_count": cpu_count,
-        "python": platform.python_version(),
         "shards": shards,
         "single_process": single,
         "sharded": sharded,
@@ -280,45 +268,32 @@ def run_benchmark() -> dict:
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
     single = results["single_process"]
     sharded = results["sharded"]
-    print(
+    cores = results["meta"]["available_cpus"]
+    asserted = (
+        "asserted" if results["speedup_asserted"]
+        else f"not asserted on {cores} core(s)"
+    )
+    identity = results["cross_shard_identity"]
+    jobs = results["jobs"]
+    return [
         f"single process: {single['total_requests']} cached requests "
         f"= {single['requests_per_s']:,.0f} req/s "
-        f"(p99 {single['p99_ms']:.2f} ms)"
-    )
-    print(
+        f"(p99 {single['p99_ms']:.2f} ms)",
         f"router + {results['shards']} shards: "
         f"{sharded['total_requests']} cached requests "
         f"= {sharded['requests_per_s']:,.0f} req/s "
-        f"(p99 {sharded['p99_ms']:.2f} ms)"
-    )
-    asserted = (
-        "asserted" if results["speedup_asserted"]
-        else f"not asserted on {results['cpu_count']} core(s)"
-    )
-    print(f"aggregate speedup: {results['speedup']:.2f}x ({asserted})")
-    identity = results["cross_shard_identity"]
-    print(
+        f"(p99 {sharded['p99_ms']:.2f} ms)",
+        f"aggregate speedup: {results['speedup']:.2f}x ({asserted})",
         f"cross-shard byte identity: "
-        f"{len(identity['paths'])} endpoints identical"
-    )
-    jobs = results["jobs"]
-    print(
+        f"{len(identity['paths'])} endpoints identical",
         f"jobs roundtrip: {jobs['status']} in {jobs['wall_s']:.2f} s "
         f"(sync /simulate matches: "
-        f"{jobs['sync_simulate_matches_job_result']})"
-    )
-    path = write_report(results)
-    print(f"wrote {path}")
+        f"{jobs['sync_simulate_matches_job_result']})",
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("serve_sharded", run_benchmark, summary_lines)

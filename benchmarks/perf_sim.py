@@ -23,8 +23,9 @@ the gate holds on any host.
 It then benchmarks :func:`repro.sim.montecarlo.run_replications`:
 replications per second serially and across workers, asserting the
 two ensembles are bit-identical (the serial-vs-parallel parity
-guarantee), and writes ``BENCH_sim.json`` at the repo root next to
-``BENCH_core.json``.
+guarantee).  Both are best of three against the warm worker pool; the
+first, cold parallel call is recorded as ``parallel_first_s``.  The
+report goes to ``BENCH_sim.json`` through :mod:`harness`.
 
 Run::
 
@@ -38,24 +39,13 @@ smoke uses a small one).
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
-from repro.parallel import available_cpus
+import harness
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.jobs import WorkloadConfig
 from repro.sim.montecarlo import run_replications
 from repro.sim.simulator import ClusterSimulator
 from repro.train.config import TrainingJobConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_sim.json"
 
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame2"
@@ -79,46 +69,6 @@ TIERS = {
 }
 
 
-def _selected_scales() -> dict[str, int]:
-    """Scales to run, optionally restricted via ``REPRO_BENCH_SCALES``
-    (same comma-separated syntax as perf_core)."""
-    raw = os.environ.get("REPRO_BENCH_SCALES", "").strip()
-    if not raw:
-        return dict(SCALES)
-    wanted = {
-        token if token.endswith("x") else f"{token}x"
-        for token in (t.strip() for t in raw.split(","))
-        if token
-    }
-    selected = {
-        label: factor
-        for label, factor in SCALES.items()
-        if label in wanted
-    }
-    if not selected:
-        raise SystemExit(
-            f"REPRO_BENCH_SCALES={raw!r} matches no known scale "
-            f"(choose from {', '.join(SCALES)})"
-        )
-    return selected
-
-
-def _replications() -> int:
-    raw = os.environ.get("REPRO_BENCH_REPLICATIONS", "").strip()
-    return int(raw) if raw else ENSEMBLE_REPLICATIONS
-
-
-def _best_of(fn, repeats: int = 3):
-    """Best wall-clock of ``repeats`` calls, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _run_once(intensity: float, presample: bool):
     """One full simulation; returns (events processed, report)."""
     simulator = ClusterSimulator(
@@ -134,12 +84,12 @@ def _run_once(intensity: float, presample: bool):
 
 def _bench_scale(factor: int) -> dict:
     intensity = float(factor)
-    fast_s, (fast_events, fast_report) = _best_of(
+    fast_s, (fast_events, fast_report) = harness.best_of(
         lambda: _run_once(intensity, presample=True)
     )
     # The reference path is O(nodes) per event; one repeat is plenty.
-    ref_s, (ref_events, ref_report) = _best_of(
-        lambda: _run_once(intensity, presample=False), repeats=1
+    ref_s, (ref_events, ref_report) = harness.best_of(
+        lambda: _run_once(intensity, presample=False), 1
     )
     return {
         "intensity": intensity,
@@ -196,7 +146,7 @@ def _bench_tier(name: str) -> dict:
         report = simulator.run(horizon)
         return simulator.engine.processed, report
 
-    wall_s, (events, report) = _best_of(run)
+    wall_s, (events, report) = harness.best_of(run)
     # Counted in a separate run so the wrapper never touches a timing.
     scans = _count_scans(run)
     assert scans == 0, (
@@ -221,45 +171,30 @@ def _bench_tier(name: str) -> dict:
     return result
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as cpuinfo:
-            for line in cpuinfo:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
 def _bench_ensemble() -> dict:
-    replications = _replications()
+    replications = harness.env_int(
+        "REPRO_BENCH_REPLICATIONS", ENSEMBLE_REPLICATIONS
+    )
 
-    def serial():
+    def run(max_workers):
         return run_replications(
             BENCH_MACHINE,
             replications=replications,
             horizon_hours=ENSEMBLE_HORIZON_HOURS,
             seed=BENCH_SEED,
             intensity=10.0,
+            max_workers=max_workers,
         )
 
-    def parallel():
-        return run_replications(
-            BENCH_MACHINE,
-            replications=replications,
-            horizon_hours=ENSEMBLE_HORIZON_HOURS,
-            seed=BENCH_SEED,
-            intensity=10.0,
-            max_workers=ENSEMBLE_WORKERS,
-        )
-
-    start = time.perf_counter()
-    serial_report = serial()
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel_report = parallel()
-    parallel_s = time.perf_counter() - start
+    # The first 4-worker call may pay the pool's one-off spawn; the
+    # best-of figures compare serial against the warm pool.
+    parallel_first_s, _ = harness.best_of(
+        lambda: run(ENSEMBLE_WORKERS), 1
+    )
+    serial_s, serial_report = harness.best_of(lambda: run(None))
+    parallel_s, parallel_report = harness.best_of(
+        lambda: run(ENSEMBLE_WORKERS)
+    )
     parity = serial_report == parallel_report
     assert parity, (
         "serial and parallel ensembles diverged — the determinism "
@@ -271,6 +206,7 @@ def _bench_ensemble() -> dict:
         "workers": ENSEMBLE_WORKERS,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
+        "parallel_first_s": parallel_first_s,
         "serial_replications_per_s": (
             replications / serial_s if serial_s else 0.0
         ),
@@ -283,40 +219,30 @@ def _bench_ensemble() -> dict:
         # meaningful claim on a multi-core host.  On fewer cores the
         # timings are still recorded but the flag tells consumers
         # (and the bench tests) not to read the ratio as a result.
-        "speedup_asserted": available_cpus() >= 2,
+        "speedup_asserted": harness.can_show_speedup(2),
         "mean_availability": serial_report.availability.mean,
     }
 
 
 def run_benchmark() -> dict:
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
         "machine": BENCH_MACHINE,
-        "cpu_count": os.cpu_count() or 1,
-        "cpu_model": _cpu_model(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "scales": {
             label: _bench_scale(factor)
-            for label, factor in _selected_scales().items()
+            for label, factor in harness.selected_scales(SCALES).items()
         },
         "tiers": {name: _bench_tier(name) for name in TIERS},
         "ensemble": _bench_ensemble(),
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
+    lines = []
     for label, scale in results["scales"].items():
         fast = scale["fast"]
         ref = scale["reference"]
-        print(
+        lines.append(
             f"{label:>4} intensity: fast {fast['events_per_s']:,.0f} "
             f"events/s ({fast['events']} events in "
             f"{fast['wall_s'] * 1e3:.1f} ms) vs reference "
@@ -324,25 +250,24 @@ def main() -> None:
             f"({scale['speedup']:.1f}x per-event)"
         )
     for name, tier in results["tiers"].items():
-        print(
+        lines.append(
             f"{name:>8} tier: {tier['events']} events in "
             f"{tier['wall_s'] * 1e3:.1f} ms "
             f"({tier['us_per_event']:.1f} us/event), "
             f"{tier['available_nodes_calls']} available_nodes calls"
         )
     ensemble = results["ensemble"]
-    print(
+    lines.append(
         f"ensemble ({ensemble['replications']} replications, "
         f"{ensemble['workers']} workers on "
-        f"{results['cpu_count']} cores): "
+        f"{results['meta']['available_cpus']} cores): "
         f"{ensemble['serial_replications_per_s']:.1f} rep/s serial vs "
         f"{ensemble['parallel_replications_per_s']:.1f} rep/s parallel "
         f"({ensemble['speedup']:.2f}x), "
         f"parity={ensemble['parity_ok']}"
     )
-    path = write_report(results)
-    print(f"wrote {path}")
+    return lines
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("sim", run_benchmark, summary_lines)

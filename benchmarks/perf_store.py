@@ -25,26 +25,20 @@ Run::
 
     PYTHONPATH=src python benchmarks/perf_store.py
 
-``REPRO_BENCH_STORE_SCALE`` resizes the benchmark log (default 100 ==
-~33,800 failures, one hundred Tsubame-3 logs); the >=10x / >=5x
-floors are asserted by the harness only at scale >= 100, smaller
-scales just record their numbers.
+The benchmark log is ``SCALE`` = 100 tiled Tsubame-3 logs (~33,800
+failures), the acceptance scale at which both floors are asserted.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import platform
 import shutil
 import tempfile
 import time
 from datetime import timedelta
 from pathlib import Path
 
-import numpy as np
-
+import harness
 from repro.core.records import FailureLog
 from repro.io import read_log, write_csv
 from repro.serve.app import ANALYSES
@@ -53,18 +47,14 @@ from repro.store import init_store, open_store
 from repro.store.views import verify_parity
 from repro.synth import GeneratorConfig, generate_log
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_store.json"
-
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame3"
 BASE_FAILURES = 338  # one calibrated Tsubame-3 log == 1x
 INGEST_BATCHES = 10
-
-
-def _scale() -> int:
-    raw = os.environ.get("REPRO_BENCH_STORE_SCALE", "").strip()
-    return int(raw) if raw else 100
+SCALE = 100  # tiles of the 1x log
+#: The analyses the store materializes; the rest of
+#: ``repro.serve.app.ANALYSES`` (``ettf``) is always computed cold.
+STORE_ANALYSES = ("breakdown", "metrics", "spatial", "seasonal", "multigpu")
 
 
 def _tiled_log(base: FailureLog, scale: int) -> FailureLog:
@@ -106,7 +96,7 @@ def _sub_log(log: FailureLog, start: int, stop: int) -> FailureLog:
 
 
 def _cold_bodies(log: FailureLog) -> dict[str, bytes]:
-    return {name: json_body(fn(log)) for name, fn in ANALYSES.items()}
+    return {name: json_body(ANALYSES[name](log)) for name in STORE_ANALYSES}
 
 
 def _bench_ingest(log: FailureLog, root: Path) -> dict:
@@ -216,7 +206,6 @@ def _bench_incremental(log: FailureLog, root: Path) -> dict:
 
 
 def run_benchmark() -> dict:
-    scale = _scale()
     log = _tiled_log(
         generate_log(
             BENCH_MACHINE,
@@ -224,18 +213,14 @@ def run_benchmark() -> dict:
                 seed=BENCH_SEED, num_failures=BASE_FAILURES
             ),
         ),
-        scale,
+        SCALE,
     )
     workdir = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
     try:
         return {
-            "schema": 1,
             "seed": BENCH_SEED,
             "machine": BENCH_MACHINE,
-            "scale": scale,
-            "floors_asserted": scale >= 100,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
+            "scale": SCALE,
             "ingest": _bench_ingest(log, workdir),
             "warm_restart": _bench_warm_restart(log, workdir),
             "incremental": _bench_incremental(log, workdir),
@@ -244,34 +229,23 @@ def run_benchmark() -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
     ingest = results["ingest"]
-    print(
+    warm = results["warm_restart"]
+    incremental = results["incremental"]
+    return [
         f"ingest: {ingest['rows']} rows in {ingest['ingest_s']:.2f}s "
         f"({ingest['rows_per_s']:.0f} rows/s, "
-        f"{ingest['bytes_per_row']:.0f} B/row)"
-    )
-    warm = results["warm_restart"]
-    print(
+        f"{ingest['bytes_per_row']:.0f} B/row)",
         f"restart-to-analytics: cold {warm['cold_restart_s']:.3f}s vs "
         f"warm {warm['warm_restart_s']:.3f}s "
-        f"({warm['speedup']:.1f}x, parity verified)"
-    )
-    incremental = results["incremental"]
-    print(
-        f"incremental: append+update {1e3 * incremental['append_update_s']:.1f} ms vs "
+        f"({warm['speedup']:.1f}x, parity verified)",
+        f"incremental: append+update "
+        f"{1e3 * incremental['append_update_s']:.1f} ms vs "
         f"recompute {1e3 * incremental['full_recompute_s']:.1f} ms "
-        f"({incremental['speedup']:.1f}x, parity verified)"
-    )
-    write_report(results)
-    print(f"wrote {REPORT_PATH}")
+        f"({incremental['speedup']:.1f}x, parity verified)",
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("store", run_benchmark, summary_lines)

@@ -20,22 +20,13 @@ Run::
 
     PYTHONPATH=src python benchmarks/perf_trace.py
 
-``REPRO_BENCH_TRACE_REPS`` sets repetitions per mode (default 7); the
-<=10% floor is asserted by the harness only at >= 5 reps — fewer reps
-just record their numbers.  ``REPRO_BENCH_TRACE_HORIZON`` resizes the
-simulated horizon (default 1000 hours).
+Each mode runs ``REPS`` = 7 times over a ``HORIZON_HOURS`` = 1000 h
+simulation, and the <= 10% floor is always asserted.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
+import harness
 from repro.sim import (
     CheckpointPolicy,
     ClusterSimulator,
@@ -43,22 +34,11 @@ from repro.sim import (
 )
 from repro.trace import TraceRecorder, parse_trace, replay
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_trace.json"
-
 BENCH_SEED = 42
 BENCH_MACHINE = "tsubame3"
 OVERHEAD_FLOOR_PCT = 10.0
-
-
-def _reps() -> int:
-    raw = os.environ.get("REPRO_BENCH_TRACE_REPS", "").strip()
-    return int(raw) if raw else 7
-
-
-def _horizon() -> float:
-    raw = os.environ.get("REPRO_BENCH_TRACE_HORIZON", "").strip()
-    return float(raw) if raw else 1000.0
+REPS = 7
+HORIZON_HOURS = 1000.0
 
 
 def _build_sim(seed: int) -> ClusterSimulator:
@@ -85,15 +65,12 @@ def _bench_recording(reps: int, horizon: float) -> dict:
         # Interleaved so slow drift (thermal, page cache) hits both
         # modes equally.
         sim = _build_sim(BENCH_SEED + rep)
-        start = time.perf_counter()
-        sim.run(horizon)
-        plain.append(time.perf_counter() - start)
+        plain.append(harness.best_of(lambda: sim.run(horizon), 1)[0])
 
         sim = _build_sim(BENCH_SEED + rep)
         recorder = TraceRecorder.attach(sim)
-        start = time.perf_counter()
-        report = sim.run(horizon)
-        traced.append(time.perf_counter() - start)
+        elapsed, report = harness.best_of(lambda: sim.run(horizon), 1)
+        traced.append(elapsed)
         events = recorder.event_count
         recorder.finalize(report, horizon)
     plain_s = min(plain)
@@ -119,13 +96,11 @@ def _record_reference(horizon: float):
 
 def _bench_replay(reps: int, horizon: float) -> dict:
     trace = _record_reference(horizon)
-    times: list[float] = []
-    for _ in range(max(3, reps // 2)):
-        start = time.perf_counter()
-        result = replay(trace)  # raises on any divergence
-        times.append(time.perf_counter() - start)
-        assert result.bit_exact
-    replay_s = min(times)
+    # replay() raises on any divergence.
+    replay_s, result = harness.best_of(
+        lambda: replay(trace), max(3, reps // 2)
+    )
+    assert result.bit_exact
     return {
         "events": len(trace.events),
         "replay_s": replay_s,
@@ -138,19 +113,13 @@ def _bench_codec(reps: int, horizon: float) -> dict:
     trace = _record_reference(horizon)
     lines = len(trace.lines())
 
-    dumps_times: list[float] = []
-    parse_times: list[float] = []
-    for _ in range(max(3, reps // 2)):
-        start = time.perf_counter()
-        text = trace.dumps()
-        dumps_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parsed, quarantined = parse_trace(text)
-        parse_times.append(time.perf_counter() - start)
-        assert not quarantined
+    repeats = max(3, reps // 2)
+    dumps_s, text = harness.best_of(trace.dumps, repeats)
+    parse_s, (parsed, quarantined) = harness.best_of(
+        lambda: parse_trace(text), repeats
+    )
+    assert not quarantined
     assert parsed.dumps() == text  # byte-identical round trip
-    dumps_s = min(dumps_times)
-    parse_s = min(parse_times)
     return {
         "lines": lines,
         "bytes": len(text),
@@ -163,53 +132,35 @@ def _bench_codec(reps: int, horizon: float) -> dict:
 
 
 def run_benchmark() -> dict:
-    reps = _reps()
-    horizon = _horizon()
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
         "machine": BENCH_MACHINE,
-        "reps": reps,
-        "horizon_hours": horizon,
-        "floors_asserted": reps >= 5,
+        "reps": REPS,
+        "horizon_hours": HORIZON_HOURS,
         "overhead_floor_pct": OVERHEAD_FLOOR_PCT,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "recording": _bench_recording(reps, horizon),
-        "replay": _bench_replay(reps, horizon),
-        "codec": _bench_codec(reps, horizon),
+        "recording": _bench_recording(REPS, HORIZON_HOURS),
+        "replay": _bench_replay(REPS, HORIZON_HOURS),
+        "codec": _bench_codec(REPS, HORIZON_HOURS),
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
+def summary_lines(results: dict) -> list[str]:
     rec = results["recording"]
-    print(
+    rep = results["replay"]
+    codec = results["codec"]
+    return [
         f"recording: {rec['events_per_run']} events, plain "
         f"{1e3 * rec['plain_s']:.0f} ms vs traced "
         f"{1e3 * rec['traced_s']:.0f} ms "
-        f"({rec['overhead_pct']:+.1f}% overhead)"
-    )
-    rep = results["replay"]
-    print(
+        f"({rec['overhead_pct']:+.1f}% overhead)",
         f"replay: {rep['events']} events in "
         f"{1e3 * rep['replay_s']:.0f} ms "
-        f"({rep['events_per_s']:.0f} events/s, bit-exact)"
-    )
-    codec = results["codec"]
-    print(
+        f"({rep['events_per_s']:.0f} events/s, bit-exact)",
         f"codec: dumps {codec['dumps_lines_per_s']:.0f} lines/s, "
         f"parse {codec['parse_lines_per_s']:.0f} lines/s "
-        f"({codec['bytes'] / 1024:.0f} KiB round-tripped)"
-    )
-    write_report(results)
-    print(f"wrote {REPORT_PATH}")
+        f"({codec['bytes'] / 1024:.0f} KiB round-tripped)",
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("trace", run_benchmark, summary_lines)

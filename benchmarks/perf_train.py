@@ -25,22 +25,11 @@ small one).
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
-import numpy as np
-
-from repro.parallel import available_cpus
+import harness
 from repro.sim.checkpoint import young_daly_policy
 from repro.sim.simulator import ClusterSimulator
 from repro.train.config import TrainingJobConfig
 from repro.train.montecarlo import run_train_replications
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_train.json"
 
 BENCH_SEED = 42
 BENCH_MACHINE = "a100"  # the 1024-node modern fleet
@@ -53,46 +42,6 @@ ENSEMBLE_REPLICATIONS = 16
 ENSEMBLE_HORIZON_HOURS = 500.0
 ENSEMBLE_GANG_NODES = 256
 ENSEMBLE_WORKERS = 4
-
-
-def _selected_scales() -> dict[str, int]:
-    """Scales to run, optionally restricted via ``REPRO_BENCH_SCALES``
-    (same comma-separated syntax as perf_core)."""
-    raw = os.environ.get("REPRO_BENCH_SCALES", "").strip()
-    if not raw:
-        return dict(SCALES)
-    wanted = {
-        token if token.endswith("x") else f"{token}x"
-        for token in (t.strip() for t in raw.split(","))
-        if token
-    }
-    selected = {
-        label: factor
-        for label, factor in SCALES.items()
-        if label in wanted
-    }
-    if not selected:
-        raise SystemExit(
-            f"REPRO_BENCH_SCALES={raw!r} matches no known scale "
-            f"(choose from {', '.join(SCALES)})"
-        )
-    return selected
-
-
-def _replications() -> int:
-    raw = os.environ.get("REPRO_BENCH_REPLICATIONS", "").strip()
-    return int(raw) if raw else ENSEMBLE_REPLICATIONS
-
-
-def _best_of(fn, repeats: int = 3):
-    """Best wall-clock of ``repeats`` calls, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _policy(gang_nodes: int, intensity: float):
@@ -131,7 +80,7 @@ def _run_once(intensity: float):
 
 def _bench_scale(factor: int) -> dict:
     intensity = float(factor)
-    wall_s, (events, report) = _best_of(lambda: _run_once(intensity))
+    wall_s, (events, report) = harness.best_of(lambda: _run_once(intensity))
     stats = report.train
     return {
         "intensity": intensity,
@@ -148,7 +97,9 @@ def _bench_scale(factor: int) -> dict:
 
 
 def _bench_ensemble() -> dict:
-    replications = _replications()
+    replications = harness.env_int(
+        "REPRO_BENCH_REPLICATIONS", ENSEMBLE_REPLICATIONS
+    )
     policy = _policy(ENSEMBLE_GANG_NODES, 1.0)
     train = TrainingJobConfig(num_nodes=ENSEMBLE_GANG_NODES)
 
@@ -163,12 +114,15 @@ def _bench_ensemble() -> dict:
             max_workers=max_workers,
         )
 
-    start = time.perf_counter()
-    serial_report = run(None)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel_report = run(ENSEMBLE_WORKERS)
-    parallel_s = time.perf_counter() - start
+    # As in perf_sim: best of three against the warm pool, with the
+    # first (cold) parallel call recorded on its own.
+    parallel_first_s, _ = harness.best_of(
+        lambda: run(ENSEMBLE_WORKERS), 1
+    )
+    serial_s, serial_report = harness.best_of(lambda: run(None))
+    parallel_s, parallel_report = harness.best_of(
+        lambda: run(ENSEMBLE_WORKERS)
+    )
     parity = serial_report == parallel_report
     assert parity, (
         "serial and parallel training ensembles diverged — the "
@@ -181,6 +135,7 @@ def _bench_ensemble() -> dict:
         "workers": ENSEMBLE_WORKERS,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
+        "parallel_first_s": parallel_first_s,
         "serial_replications_per_s": (
             replications / serial_s if serial_s else 0.0
         ),
@@ -191,57 +146,46 @@ def _bench_ensemble() -> dict:
         "parity_ok": parity,
         # Same convention as perf_sim: the ratio is only a claim on a
         # host with enough cores to show one.
-        "speedup_asserted": available_cpus() >= 2,
+        "speedup_asserted": harness.can_show_speedup(2),
         "mean_ettr": serial_report.ettr.mean,
     }
 
 
 def run_benchmark() -> dict:
     return {
-        "schema": 1,
         "seed": BENCH_SEED,
         "machine": BENCH_MACHINE,
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
         "scales": {
             label: _bench_scale(factor)
-            for label, factor in _selected_scales().items()
+            for label, factor in harness.selected_scales(SCALES).items()
         },
         "ensemble": _bench_ensemble(),
     }
 
 
-def write_report(results: dict, path: Path = REPORT_PATH) -> Path:
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main() -> None:
-    results = run_benchmark()
-    for label, scale in results["scales"].items():
-        print(
-            f"{label:>4} intensity: {scale['events_per_s']:,.0f} "
-            f"events/s ({scale['events']} events in "
-            f"{scale['wall_s'] * 1e3:.1f} ms), "
-            f"{scale['interrupts']} interrupts, "
-            f"ETTR {scale['ettr']:.4f}"
-        )
+def summary_lines(results: dict) -> list[str]:
+    lines = [
+        f"{label:>4} intensity: {scale['events_per_s']:,.0f} "
+        f"events/s ({scale['events']} events in "
+        f"{scale['wall_s'] * 1e3:.1f} ms), "
+        f"{scale['interrupts']} interrupts, "
+        f"ETTR {scale['ettr']:.4f}"
+        for label, scale in results["scales"].items()
+    ]
     ensemble = results["ensemble"]
-    print(
+    lines.append(
         f"ensemble ({ensemble['replications']} replications of a "
         f"{ensemble['gang_nodes']}-node gang, "
         f"{ensemble['workers']} workers on "
-        f"{results['cpu_count']} cores): "
+        f"{results['meta']['available_cpus']} cores): "
         f"{ensemble['serial_replications_per_s']:.1f} rep/s serial vs "
         f"{ensemble['parallel_replications_per_s']:.1f} rep/s parallel "
         f"({ensemble['speedup']:.2f}x), "
         f"parity={ensemble['parity_ok']}, "
         f"mean ETTR {ensemble['mean_ettr']:.4f}"
     )
-    path = write_report(results)
-    print(f"wrote {path}")
+    return lines
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("train", run_benchmark, summary_lines)

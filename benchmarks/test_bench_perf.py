@@ -7,30 +7,24 @@ analysis pass stays >= 10x faster than the pure-Python reference path
 at 100x scale, the fast path agrees with the reference output, and the
 parallel sweep returns exactly the serial results.
 
-The >2x parallel-speedup criterion is asserted only when the machine
-actually has >= 4 cores; on smaller boxes the measured numbers are
-still recorded in ``BENCH_core.json`` for the trajectory.
+The sweep speedup (serial vs the warm 4-worker pool, best of three
+each) is asserted as > 2x with >= 4 schedulable cores and > 1x with
+2-3; on one core the measured numbers are still recorded in
+``BENCH_core.json`` for the trajectory.  The report itself is written
+and round-trip checked by the ``results`` fixture (``conftest.py``).
 """
-
-import json
 
 import pytest
 
+import harness
 import perf_core
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_core.run_benchmark()
-    perf_core.write_report(res)
-    return res
+PERF = perf_core
 
 
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_core.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk["scales"]) == {"1x", "10x", "100x"}
-    assert on_disk["scales"]["100x"]["records"] == 89700
+def test_report_covers_every_scale(results):
+    assert set(results["scales"]) == {"1x", "10x", "100x"}
+    assert results["scales"]["100x"]["records"] == 89700
 
 
 def test_analysis_chain_10x_faster_at_100x_scale(results):
@@ -68,7 +62,7 @@ def test_sweep_parallel_speedup(results):
             f"speedup unasserted on this host; measured "
             f"{measured:.2f}x recorded in BENCH_core.json"
         )
-    if perf_core.available_cpus() >= 4:
+    if harness.can_show_speedup(4):
         assert measured > 2.0, bench
     else:
         assert measured > 1.0, bench

@@ -7,24 +7,9 @@ miss (and byte-identical), and N identical concurrent requests
 trigger exactly **one** backend execution.
 """
 
-import json
-
-import pytest
-
 import perf_serve
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_serve.run_benchmark()
-    perf_serve.write_report(res)
-    return res
-
-
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_serve.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk) == set(results)
+PERF = perf_serve
 
 
 def test_cached_repeat_at_least_10x_faster_than_cold(results):

@@ -9,29 +9,16 @@ serves from cache, and — only on hardware that can deliver it — the
 >= 4x aggregate throughput floor.
 """
 
-import json
-
-import pytest
-
+import harness
 import perf_serve_sharded
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_serve_sharded.run_benchmark()
-    perf_serve_sharded.write_report(res)
-    return res
+PERF = perf_serve_sharded
 
 
-def test_report_written_and_loads(results):
-    on_disk = json.loads(
-        perf_serve_sharded.REPORT_PATH.read_text()
-    )
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk) == set(results)
-    # The honesty fields the satellite demands are always present.
-    assert "cpu_count" in on_disk
-    assert "speedup_asserted" in on_disk
+def test_report_records_the_gate(results):
+    # The honesty fields are always present.
+    assert "available_cpus" in results["meta"]
+    assert "speedup_asserted" in results
 
 
 def test_responses_byte_identical_across_shards(results):
@@ -55,9 +42,7 @@ def test_sharded_throughput_positive(results):
 
 def test_speedup_floor_when_hardware_allows(results):
     """The 4x floor is asserted exactly when the host can deliver it."""
-    expected = (
-        results["cpu_count"] >= 4 and results["shards"] >= 4
-    )
+    expected = harness.can_show_speedup(4) and results["shards"] >= 4
     assert results["speedup_asserted"] is expected
     if results["speedup_asserted"]:
         assert results["speedup"] >= results["speedup_floor"]

@@ -10,32 +10,21 @@ fleet scan ``Cluster.available_nodes``, and the parallel ensemble is
 bit-identical to the serial one.
 
 Parity is asserted on every host.  The replication-scaling criterion
-(>2x with 4 workers) is asserted only when the machine actually has
->= 4 schedulable cores; on smaller boxes the measured numbers are
-still recorded in ``BENCH_sim.json`` with
-``"speedup_asserted": false`` so a <1.0x ratio on a 1-core host is
-never mistaken for a passing result.
+compares serial against the warm 4-worker pool (best of three each)
+and is asserted from 2 schedulable cores: > 1x with 2-3 cores, > 2x
+with >= 4.  On one core the measured numbers are still recorded in
+``BENCH_sim.json`` with ``"speedup_asserted": false`` so a <1.0x
+ratio is never mistaken for a passing result.  The report itself is
+written and round-trip checked by the ``results`` fixture
+(``conftest.py``).
 """
-
-import json
 
 import pytest
 
+import harness
 import perf_sim
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_sim.run_benchmark()
-    perf_sim.write_report(res)
-    return res
-
-
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_sim.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk["scales"]) == set(results["scales"])
-    assert on_disk["ensemble"]["parity_ok"] is True
+PERF = perf_sim
 
 
 def test_fast_path_5x_faster_at_10x_intensity(results):
@@ -76,12 +65,11 @@ def test_ensemble_parallel_scaling(results):
         # Parity was still asserted above; the JSON records the
         # timings with speedup_asserted=false so the ratio is never
         # read as a result on a host that cannot show one.
-        assert results["cpu_count"] >= 1
         pytest.skip(
             f"speedup unasserted on this host; measured "
             f"{measured:.2f}x recorded in BENCH_sim.json"
         )
-    if perf_sim.available_cpus() >= 4:
+    if harness.can_show_speedup(4):
         assert measured > 2.0, ensemble
     else:
         # 2-3 cores: demand a real win, just not near-linear.

@@ -6,30 +6,13 @@ and asserts the claims: materialized analytics match the cold kernels
 (parity is verified *inside* the benchmark before any number is
 reported), warm-restart-to-first-analytics is >= 10x faster than the
 cold parse-and-recompute path, and an incremental append-update beats
-a full recomputation by >= 5x.  The speed floors are asserted at the
-acceptance scale (100x, the default); reduced-scale smoke runs record
-their numbers without asserting ratios a small input cannot honestly
-support.
+a full recomputation by >= 5x.  The benchmark always runs at the
+acceptance scale (100x), so both floors are always asserted.
 """
-
-import json
-
-import pytest
 
 import perf_store
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_store.run_benchmark()
-    perf_store.write_report(res)
-    return res
-
-
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_store.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk) == set(results)
+PERF = perf_store
 
 
 def test_ingest_throughput_recorded(results):
@@ -49,19 +32,9 @@ def test_parity_verified_on_both_paths(results):
 
 def test_warm_restart_floor(results):
     warm = results["warm_restart"]
-    if not results["floors_asserted"]:
-        pytest.skip(
-            f"scale {results['scale']} < 100; measured "
-            f"{warm['speedup']:.1f}x recorded in BENCH_store.json"
-        )
     assert warm["speedup"] >= 10.0, warm
 
 
 def test_incremental_update_floor(results):
     incremental = results["incremental"]
-    if not results["floors_asserted"]:
-        pytest.skip(
-            f"scale {results['scale']} < 100; measured "
-            f"{incremental['speedup']:.1f}x recorded in BENCH_store.json"
-        )
     assert incremental["speedup"] >= 5.0, incremental

@@ -6,29 +6,12 @@ and asserts the claims: recording a full workload simulation through
 the pub/sub bus costs <= 10% wall-clock overhead, replay reproduces
 the recording bit-exactly (asserted *inside* the benchmark before any
 number is reported), and the codec round trip is byte-identical.  The
-overhead floor is asserted at >= 5 interleaved repetitions (the
-default 7); reduced-rep smoke runs record their numbers without
-asserting a ratio that timing noise cannot honestly support.
+overhead floor is always asserted, over 7 interleaved repetitions.
 """
-
-import json
-
-import pytest
 
 import perf_trace
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_trace.run_benchmark()
-    perf_trace.write_report(res)
-    return res
-
-
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_trace.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk) == set(results)
+PERF = perf_trace
 
 
 def test_recording_captures_busy_run(results):
@@ -47,12 +30,6 @@ def test_replay_bit_exact_and_report_complete(results):
 
 def test_recording_overhead_floor(results):
     recording = results["recording"]
-    if not results["floors_asserted"]:
-        pytest.skip(
-            f"reps {results['reps']} < 5; measured "
-            f"{recording['overhead_pct']:+.1f}% recorded in "
-            f"BENCH_trace.json"
-        )
     assert recording["overhead_pct"] <= (
         results["overhead_floor_pct"]
     ), recording

@@ -14,25 +14,12 @@ follows the same ``speedup_asserted`` convention as perf_sim, so a
 <1.0x ratio on a 1-core host is never mistaken for a passing result.
 """
 
-import json
-
 import pytest
 
+import harness
 import perf_train
 
-
-@pytest.fixture(scope="module")
-def results():
-    res = perf_train.run_benchmark()
-    perf_train.write_report(res)
-    return res
-
-
-def test_report_written_and_loads(results):
-    on_disk = json.loads(perf_train.REPORT_PATH.read_text())
-    assert on_disk["schema"] == results["schema"]
-    assert set(on_disk["scales"]) == set(results["scales"])
-    assert on_disk["ensemble"]["parity_ok"] is True
+PERF = perf_train
 
 
 def test_training_run_throughput_positive(results):
@@ -75,12 +62,11 @@ def test_ensemble_parallel_scaling(results):
         # Parity was still asserted above; BENCH_train.json records
         # the timings with speedup_asserted=false so the ratio is
         # never read as a result on a host that cannot show one.
-        assert results["cpu_count"] >= 1
         pytest.skip(
             f"speedup unasserted on this host; measured "
             f"{measured:.2f}x recorded in BENCH_train.json"
         )
-    if perf_train.available_cpus() >= 4:
+    if harness.can_show_speedup(4):
         assert measured > 2.0, ensemble
     else:
         # 2-3 cores: demand a real win, just not near-linear.

@@ -535,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_log(path: Path, format: str | None = None):
-    return read_log(path, format=format)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     profile = profile_for(args.machine)
     config = GeneratorConfig(seed=args.seed, num_failures=args.failures)
@@ -557,7 +553,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(line)
         log = report.log
     else:
-        log = _read_log(args.path, format=args.format)
+        log = read_log(args.path, format=args.format)
     breakdown = category_breakdown(log)
     print(f"machine:          {log.machine}")
     print(f"failures:         {len(log)}")
@@ -631,8 +627,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.core.compare import compare_generations
 
-    older = _read_log(args.older)
-    newer = _read_log(args.newer)
+    older = read_log(args.older)
+    newer = read_log(args.newer)
     comparison = compare_generations(older, newer)
     for line in comparison.summary_lines():
         print(line)
@@ -643,7 +639,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     from repro.core.metrics import tbf_series_hours, ttr_series_hours
     from repro.stats.fitting import fit_best
 
-    log = _read_log(args.path)
+    log = read_log(args.path)
     tbf = fit_best([gap for gap in tbf_series_hours(log) if gap > 0])
     ttr = fit_best([t for t in ttr_series_hours(log) if t > 0])
     for label, fit in (("TBF", tbf), ("TTR", ttr)):
@@ -658,7 +654,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_spares(args: argparse.Namespace) -> int:
     from repro.predict.provisioning import plan_spares
 
-    log = _read_log(args.path)
+    log = read_log(args.path)
     plan = plan_spares(
         log,
         lead_time_hours=args.lead_time,
@@ -678,7 +674,7 @@ def _cmd_spares(args: argparse.Namespace) -> int:
 def _cmd_trends(args: argparse.Namespace) -> int:
     from repro.core.trends import crow_amsaa_fit, windowed_mtbf, windowed_mttr
 
-    log = _read_log(args.path)
+    log = read_log(args.path)
     growth = crow_amsaa_fit(log)
     direction = "improving" if growth.is_improving else "deteriorating"
     print(f"Crow-AMSAA: beta {growth.beta:.3f} ({direction}), "
@@ -825,25 +821,22 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 async def _serve_async(args: argparse.Namespace) -> int:
-    """Run the service until stopped; 130 on SIGINT/SIGTERM."""
+    """Run one process, or a router over ``--shards`` shard
+    processes, until stopped; 130 on SIGINT/SIGTERM."""
     import signal
 
     from repro.serve import (
         DatasetRegistry,
         ReproApp,
         ReproServer,
+        RouterApp,
         register_from_spec,
     )
 
-    registry = DatasetRegistry()
-    for spec in filter(None, args.datasets.split(",")):
-        dataset = register_from_spec(registry, spec.strip())
-        print(f"registered dataset {dataset.name!r}: "
-              f"{dataset.source} "
-              f"({dataset.describe()['failures']} failures)")
-
-    app = ReproApp(
-        registry,
+    specs = [
+        spec.strip() for spec in filter(None, args.datasets.split(","))
+    ]
+    options = dict(
         workers=args.workers,
         cache_size=args.cache_size,
         cache_ttl_seconds=args.cache_ttl or None,
@@ -852,9 +845,32 @@ async def _serve_async(args: argparse.Namespace) -> int:
         rate_per_second=args.rate_limit,
         burst=args.burst,
     )
+    if args.shards:
+        app = RouterApp(args.shards, tuple(specs), host=args.host,
+                        **options)
+        await app.start()
+        for index in sorted(app._shards):
+            shard = app._shards[index]
+            print(f"shard {index} ready on port {shard.port} "
+                  f"(pid {shard.process.pid})", flush=True)
+        fleet = f" across {args.shards} shards"
+    else:
+        registry = DatasetRegistry()
+        for spec in specs:
+            dataset = register_from_spec(registry, spec)
+            print(f"registered dataset {dataset.name!r}: "
+                  f"{dataset.source} "
+                  f"({dataset.describe()['failures']} failures)")
+        app = ReproApp(registry, **options)
+        fleet = ""
     server = ReproServer(app, host=args.host, port=args.port)
-    await server.start()
-    print(f"serving on http://{args.host}:{server.port} "
+    try:
+        await server.start()
+    except BaseException:
+        if args.shards:
+            await app.close()
+        raise
+    print(f"serving on http://{args.host}:{server.port}{fleet} "
           f"(Ctrl-C to stop)", flush=True)
 
     loop = asyncio.get_running_loop()
@@ -887,71 +903,6 @@ async def _serve_async(args: argparse.Namespace) -> int:
             loop.remove_signal_handler(signum)
 
 
-async def _serve_sharded_async(args: argparse.Namespace) -> int:
-    """Run the router + shard fleet until stopped; 130 on signals."""
-    import signal
-
-    from repro.serve import ReproServer, RouterApp
-
-    specs = tuple(
-        spec.strip() for spec in filter(None, args.datasets.split(","))
-    )
-    router = RouterApp(
-        args.shards,
-        specs,
-        host=args.host,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        cache_ttl_seconds=args.cache_ttl or None,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        rate_per_second=args.rate_limit,
-        burst=args.burst,
-    )
-    await router.start()
-    for index in sorted(router._shards):
-        shard = router._shards[index]
-        print(f"shard {index} ready on port {shard.port} "
-              f"(pid {shard.process.pid})", flush=True)
-    server = ReproServer(router, host=args.host, port=args.port)
-    try:
-        await server.start()
-    except BaseException:
-        await router.close()
-        raise
-    print(f"routing http://{args.host}:{server.port} across "
-          f"{args.shards} shards (Ctrl-C to stop)", flush=True)
-
-    loop = asyncio.get_running_loop()
-    interrupted = asyncio.Event()
-    installed: list[signal.Signals] = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, interrupted.set)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):
-            pass
-    try:
-        waiters = [
-            asyncio.ensure_future(interrupted.wait()),
-            asyncio.ensure_future(server.wait_stopped()),
-        ]
-        done, pending = await asyncio.wait(
-            waiters, return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        if interrupted.is_set():
-            print("shutting down (draining router and shards)...",
-                  flush=True)
-            await server.stop()
-            return EXIT_INTERRUPT
-        return EXIT_OK
-    finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ValidationError
 
@@ -959,8 +910,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--shards must be >= 0, got {args.shards}"
         )
-    if args.shards:
-        return asyncio.run(_serve_sharded_async(args))
     return asyncio.run(_serve_async(args))
 
 
@@ -1003,7 +952,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "append":
-        log = _read_log(args.log, format=args.format)
+        log = read_log(args.log, format=args.format)
         store = open_store(args.path)
         summary = store.append(log, reindex=args.reindex)
         print(f"appended {summary['rows']} failures to {args.path} "
